@@ -74,9 +74,17 @@ class TargetModel:
         The core feature of parameter-based attacks (Nasr, Leino-Fredrikson):
         members sit near loss minima, so their gradients are systematically
         smaller.
+
+        The gradients are taken in train mode, which updates BatchNorm
+        running statistics as a side effect; the buffers and every
+        submodule's mode are restored afterwards, so the attacked model is
+        unchanged.  Train-mode BatchNorm normalizes with batch statistics,
+        so the restore changes no norm.
         """
         labels = np.asarray(labels, dtype=np.int64)
         norms = np.empty(len(inputs), dtype=np.float64)
+        buffers = {name: buffer.copy() for name, buffer in self.module.named_buffers()}
+        modes = [(module, module.training) for module in self.module.modules()]
         self.module.train()
         for i in range(len(inputs)):
             self.module.zero_grad()
@@ -89,7 +97,9 @@ class TargetModel:
                     total += float(np.sum(param.grad**2))
             norms[i] = np.sqrt(total)
         self.module.zero_grad()
-        self.module.eval()
+        self.module.load_state_dict(buffers, strict=False)
+        for module, training in modes:
+            object.__setattr__(module, "training", training)
         return norms
 
     def _forward_tensor(self, inputs: np.ndarray) -> Tensor:

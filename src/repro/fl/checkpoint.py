@@ -17,8 +17,10 @@ only the *dirty* client states — the state-store contents, hot tier and
 spilled files alike — plus the registry's spec digest and population size;
 cold clients re-derive their initial state from ``(seed, client_id)`` at
 materialization, so checkpoint size scales with the clients that have ever
-trained, not with the population.  Restores cross-check the spec digest and
-refuse live↔virtual mismatches.
+trained, not with the population.  Each dirty state is the pickled bytes
+the store exports, spilled ones copied from their spill files, so writing
+a checkpoint leaves the store unchanged.  Restores cross-check the spec
+digest and refuse live↔virtual mismatches.
 
 Restoring into a freshly-constructed, identically-configured simulation and
 continuing produces a run *bit-identical* to one that was never interrupted
@@ -57,7 +59,8 @@ from repro.utils.logging import get_logger
 _log = get_logger("fl.checkpoint")
 
 #: Bump when the payload layout changes; loaders refuse unknown versions.
-CHECKPOINT_VERSION = 1
+#: Version 2: virtual payloads carry each dirty client state as pickled bytes.
+CHECKPOINT_VERSION = 2
 
 #: Container magic for digest-protected checkpoint files: ``RCK1`` + the
 #: 32-byte sha256 of the pickled body, then the body itself.
@@ -111,12 +114,11 @@ def save_checkpoint(simulation, directory: str, keep: int = 0) -> str:
         # state from ``(seed, client_id)`` on materialization, so storing
         # them would be pure redundancy — this is what keeps checkpoint
         # size proportional to the touched set, not the population.
-        client_snapshot = registry.store.snapshot_all()
+        client_snapshot = registry.store.export_snapshot()
         registry_meta = {
             "spec_digest": registry.spec_digest(),
             "population": len(registry),
             "schedule_lr": registry.schedule_lr,
-            "spill_manifest": registry.store.spill_manifest(),
         }
     else:
         # clone(): the snapshot must not alias the clients' live RNGs.
@@ -144,8 +146,7 @@ def save_checkpoint(simulation, directory: str, keep: int = 0) -> str:
         "clients": client_snapshot,
         # ``None`` for live-object populations; virtual runs carry the
         # registry identity (spec digest + population) so a restore can
-        # refuse a mismatched reconstruction, plus the schedule lr and the
-        # spill manifest (informational: states are inlined above).
+        # refuse a mismatched reconstruction, plus the schedule lr.
         "registry": registry_meta,
         "sampling_rng_state": simulation._sampling_rng.bit_generator.state,
         # Evolving executor state (None for the stateless synchronous

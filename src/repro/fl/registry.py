@@ -52,7 +52,7 @@ import shutil
 import tempfile
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -63,6 +63,10 @@ _log = get_logger("fl.registry")
 
 #: State-store backends understood by :func:`make_state_store`.
 STATE_STORES = ("memory", "lru")
+
+
+def _dumps(state: ClientMutableState) -> bytes:
+    return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _array_nbytes(value: object) -> int:
@@ -130,26 +134,18 @@ class StateStore(ABC):
     def resident_count(self) -> int:
         """Number of snapshots currently held in memory."""
 
-    def spill_manifest(self) -> List[Tuple[int, str]]:
-        """``(client_id, path)`` of every spilled snapshot (empty unless
-        the store spills to disk)."""
-        return []
+    @abstractmethod
+    def export_snapshot(self) -> Dict[int, bytes]:
+        """``{client_id: pickled state}`` of every dirty client, in id order
+        — the checkpoint writer's view.  Leaves the store unchanged: no
+        rehydration, eviction, LRU reorder or counter change."""
 
-    def snapshot_all(self) -> Dict[int, ClientMutableState]:
-        """Deep-copied snapshots of every dirty client, rehydrating spilled
-        ones — the checkpoint writer's view."""
-        return {
-            cid: state.clone()
-            for cid in self.client_ids()
-            for state in (self.peek(cid),)
-            if state is not None
-        }
-
-    def load_snapshot(self, states: Dict[int, ClientMutableState]) -> None:
-        """Replace the store contents with ``states`` (checkpoint restore)."""
+    def load_snapshot(self, blobs: Dict[int, bytes]) -> None:
+        """Replace the store contents with :meth:`export_snapshot` output
+        (checkpoint restore)."""
         self.clear()
-        for cid, state in states.items():
-            self.put(int(cid), state)
+        for cid, blob in blobs.items():
+            self.put(int(cid), pickle.loads(blob))
 
     @abstractmethod
     def clear(self) -> None:
@@ -190,6 +186,9 @@ class InMemoryStateStore(StateStore):
     def resident_count(self) -> int:
         return len(self._states)
 
+    def export_snapshot(self) -> Dict[int, bytes]:
+        return {cid: _dumps(self._states[cid]) for cid in sorted(self._states)}
+
     def clear(self) -> None:
         self._states.clear()
 
@@ -200,9 +199,10 @@ class LRUStateStore(StateStore):
 
     Eviction and rehydration round-trip bit-exactly: pickle preserves numpy
     array bytes/dtypes and ``np.random.Generator`` state verbatim (pinned by
-    ``tests/fl/test_virtualization.py``).  Spill files are one-per-client
-    (``state_<id>.pkl``) so a checkpoint can list them as a manifest and a
-    partial cleanup never corrupts unrelated clients.
+    ``tests/fl/test_virtualization.py``).  Spill files are one pickled
+    state per client (``state_<id>.pkl``) — the same unit a checkpoint
+    stores, so :meth:`export_snapshot` copies them as bytes and
+    :meth:`load_snapshot` writes them back without unpickling.
     """
 
     def __init__(self, capacity: int = 64, spill_dir: Optional[str] = None) -> None:
@@ -210,10 +210,11 @@ class LRUStateStore(StateStore):
             raise ValueError("capacity must be at least 1")
         self.capacity = int(capacity)
         self._hot: "OrderedDict[int, ClientMutableState]" = OrderedDict()
+        #: Array bytes of each hot state, counted once when it is admitted.
+        self._hot_nbytes: Dict[int, int] = {}
         self._spilled: Dict[int, str] = {}
         self._spill_dir = spill_dir
         self._owns_spill_dir = spill_dir is None
-        self._resident_bytes = 0
         #: Cumulative spill/rehydrate counters (telemetry, not behavior).
         self.evictions = 0
         self.rehydrations = 0
@@ -227,48 +228,56 @@ class LRUStateStore(StateStore):
             os.makedirs(self._spill_dir, exist_ok=True)
         return self._spill_dir
 
-    def _spill_path(self, client_id: int) -> str:
-        return os.path.join(self.spill_dir, f"state_{client_id}.pkl")
+    def _write_spill(self, client_id: int, blob: bytes) -> None:
+        path = os.path.join(self.spill_dir, f"state_{client_id}.pkl")
+        tmp = path + ".tmp"
+        with open(tmp, "wb") as handle:
+            handle.write(blob)
+        os.replace(tmp, path)
+        self._spilled[client_id] = path
 
-    def _evict_excess(self) -> None:
+    def _admit(self, client_id: int, state: ClientMutableState) -> None:
+        self._hot[client_id] = state
+        self._hot_nbytes[client_id] = mutable_state_nbytes(state)
         while len(self._hot) > self.capacity:
-            cid, state = self._hot.popitem(last=False)  # least recent first
-            path = self._spill_path(cid)
-            tmp = path + ".tmp"
-            with open(tmp, "wb") as handle:
-                pickle.dump(state, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-            self._spilled[cid] = path
-            self._resident_bytes -= mutable_state_nbytes(state)
+            cid, evicted = self._hot.popitem(last=False)  # least recent first
+            del self._hot_nbytes[cid]
+            self._write_spill(cid, _dumps(evicted))
             self.evictions += 1
 
-    def _load_spilled(self, client_id: int) -> ClientMutableState:
+    def _take_hot(self, client_id: int) -> ClientMutableState:
+        del self._hot_nbytes[client_id]
+        return self._hot.pop(client_id)
+
+    def _take_spilled(self, client_id: int) -> ClientMutableState:
         with open(self._spilled[client_id], "rb") as handle:
             state = pickle.load(handle)
+        self._remove_spill(client_id)
         self.rehydrations += 1
         return state
+
+    def _remove_spill(self, client_id: int) -> None:
+        path = self._spilled.pop(client_id)
+        try:
+            os.remove(path)
+        except OSError:  # pragma: no cover - best-effort cleanup
+            pass
 
     # -- StateStore API --------------------------------------------------
     def put(self, client_id: int, state: ClientMutableState) -> None:
         client_id = int(client_id)
         if client_id in self._hot:
-            self._resident_bytes -= mutable_state_nbytes(self._hot.pop(client_id))
+            self._take_hot(client_id)
         elif client_id in self._spilled:
             self._remove_spill(client_id)
-        self._hot[client_id] = state
-        self._resident_bytes += mutable_state_nbytes(state)
-        self._evict_excess()
+        self._admit(client_id, state)
 
     def pop(self, client_id: int) -> Optional[ClientMutableState]:
         client_id = int(client_id)
         if client_id in self._hot:
-            state = self._hot.pop(client_id)
-            self._resident_bytes -= mutable_state_nbytes(state)
-            return state
+            return self._take_hot(client_id)
         if client_id in self._spilled:
-            state = self._load_spilled(client_id)
-            self._remove_spill(client_id)
-            return state
+            return self._take_spilled(client_id)
         return None
 
     def peek(self, client_id: int) -> Optional[ClientMutableState]:
@@ -279,36 +288,41 @@ class LRUStateStore(StateStore):
         if client_id in self._spilled:
             # Rehydrate into the hot tier (possibly evicting another state);
             # the spill file is superseded by the in-memory copy.
-            state = self._load_spilled(client_id)
-            self._remove_spill(client_id)
-            self._hot[client_id] = state
-            self._resident_bytes += mutable_state_nbytes(state)
-            self._evict_excess()
+            state = self._take_spilled(client_id)
+            self._admit(client_id, state)
             return state
         return None
 
-    def _remove_spill(self, client_id: int) -> None:
-        path = self._spilled.pop(client_id)
-        try:
-            os.remove(path)
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
+    def __contains__(self, client_id: int) -> bool:
+        client_id = int(client_id)
+        return client_id in self._hot or client_id in self._spilled
 
     def client_ids(self) -> List[int]:
         return sorted(set(self._hot) | set(self._spilled))
 
     def resident_bytes(self) -> int:
-        return int(self._resident_bytes)
+        return sum(self._hot_nbytes.values())
 
     def resident_count(self) -> int:
         return len(self._hot)
 
-    def spill_manifest(self) -> List[Tuple[int, str]]:
-        return sorted(self._spilled.items())
+    def export_snapshot(self) -> Dict[int, bytes]:
+        blobs = {cid: _dumps(state) for cid, state in self._hot.items()}
+        for cid, path in self._spilled.items():
+            with open(path, "rb") as handle:
+                blobs[cid] = handle.read()
+        return dict(sorted(blobs.items()))
+
+    def load_snapshot(self, blobs: Dict[int, bytes]) -> None:
+        # Restored states start spilled: they are written back as the
+        # pickles they already are, and rehydrate on first checkout.
+        self.clear()
+        for cid, blob in blobs.items():
+            self._write_spill(int(cid), blob)
 
     def clear(self) -> None:
         self._hot.clear()
-        self._resident_bytes = 0
+        self._hot_nbytes.clear()
         for cid in list(self._spilled):
             self._remove_spill(cid)
 
@@ -512,18 +526,10 @@ class ClientRegistry:
         del self._checked_out[cid]
         self.store.put(cid, client.get_mutable_state())
 
-    def release_many(self, clients: Sequence[FLClient]) -> None:
-        for client in clients:
-            self.release(client)
-
     def release_all(self) -> None:
         """Release every still-checked-out client (end-of-round sweep)."""
         for client in list(self._checked_out.values()):
             self.release(client)
-
-    @property
-    def checked_out_count(self) -> int:
-        return len(self._checked_out)
 
     # -- read-only materialization (evaluation) ---------------------------
     def materialize_for_read(self, client_id: int) -> FLClient:
@@ -559,15 +565,6 @@ class ClientRegistry:
         else:
             for client in self._checked_out.values():
                 client.set_lr(lr)
-
-    # -- accounting --------------------------------------------------------
-    def resident_bytes(self) -> int:
-        """Store-resident array bytes plus live checked-out client states."""
-        live = sum(
-            mutable_state_nbytes(client.get_mutable_state())
-            for client in self._checked_out.values()
-        )
-        return self.store.resident_bytes() + live
 
     def close(self) -> None:
         self._checked_out.clear()

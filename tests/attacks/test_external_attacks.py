@@ -11,9 +11,12 @@ from repro.attacks import (
     PbBayesAttack,
     evaluate_attack,
 )
+from repro.attacks.base import AttackData, PlainTarget
 from repro.attacks.ob_blindmi import gaussian_mmd
 from repro.attacks.ob_nn import posterior_features
 from repro.attacks.pb_bayes import whitebox_features
+from repro.data.dataset import Dataset
+from repro.nn.models import build_model
 
 
 ALL_ATTACKS = [
@@ -52,6 +55,46 @@ class TestAttacksCollapseUnderCIP:
         strong = evaluate_attack(PbBayesAttack(), overfit_target, attack_data)
         weak = evaluate_attack(PbBayesAttack(), cip_target, attack_data)
         assert weak.accuracy < strong.accuracy
+
+
+class TestPbBayesLeavesTargetUnchanged:
+    """Per-sample gradients run in train mode; BatchNorm running statistics
+    must not drift, or a second audit of the same model reads differently."""
+
+    def _bn_target_and_data(self):
+        rng = np.random.default_rng(0)
+        model = build_model(
+            "vgg", 3, in_channels=1, stage_channels=(4,), convs_per_stage=1, seed=0
+        )
+        model.eval()
+
+        def pool(n):
+            return Dataset(rng.random((n, 1, 6, 6)), rng.integers(0, 3, n), 3)
+
+        data = AttackData(pool(8), pool(8), pool(6), pool(6))
+        return PlainTarget(model, 3), data
+
+    def test_state_and_mode_unchanged(self):
+        target, data = self._bn_target_and_data()
+        assert any("running_mean" in name for name in target.state())
+        before = target.state()
+        target.per_sample_grad_norms(data.known_members.inputs, data.known_members.labels)
+        after = target.state()
+        assert before.keys() == after.keys()
+        for key in before:
+            assert np.array_equal(before[key], after[key]), key
+        assert not any(module.training for module in target.module.modules())
+        target.module.train()
+        target.per_sample_grad_norms(data.known_members.inputs[:2], data.known_members.labels[:2])
+        assert all(module.training for module in target.module.modules())
+
+    def test_repeated_evaluation_is_identical(self):
+        target, data = self._bn_target_and_data()
+        features = whitebox_features(target, data.eval_members)
+        first = evaluate_attack(PbBayesAttack(), target, data)
+        second = evaluate_attack(PbBayesAttack(), target, data)
+        assert first == second
+        assert np.array_equal(whitebox_features(target, data.eval_members), features)
 
 
 class TestObMALT:

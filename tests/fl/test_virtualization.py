@@ -11,14 +11,17 @@ and DESIGN.md's scaling section):
   rules apply shard-locally and still run end to end;
 * sparse id spaces (ids nowhere near contiguous) work through rounds,
   history, and evaluation;
-* virtualized checkpoint/resume — including spilled states — is
-  bit-identical, and live/virtual checkpoints refuse to cross-restore;
+* virtualized checkpoint/resume — including spilled states, and across
+  memory/LRU stores — is bit-identical, writing a checkpoint leaves the
+  store untouched, and live/virtual checkpoints refuse to cross-restore;
 * chaos (wire corruption) quarantines identically under virtualization.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -27,6 +30,12 @@ from repro.core.cip_client import CIPClient
 from repro.core.config import CheckpointConfig, CIPConfig, FaultConfig
 from repro.data.partition import partition_iid
 from repro.fl.aggregation import ShardAggregator, fedavg, shard_partition
+from repro.fl.checkpoint import (
+    CHECKPOINT_MAGIC,
+    load_checkpoint,
+    restore_latest_good,
+    save_checkpoint,
+)
 from repro.fl.client import ClientConfig, FLClient
 from repro.fl.executor import make_executor
 from repro.fl.registry import (
@@ -82,6 +91,20 @@ def _assert_states_equal(state_a, state_b):
     assert state_a.keys() == state_b.keys()
     for key in state_a:
         assert np.array_equal(state_a[key], state_b[key]), key
+
+
+def _unpickled(store):
+    return {cid: pickle.loads(blob) for cid, blob in store.export_snapshot().items()}
+
+
+def _store_fingerprint(store):
+    """Everything a read-only store operation must leave as it was."""
+    spill_dir = store.spill_dir
+    files = {}
+    for name in sorted(os.listdir(spill_dir)):
+        with open(os.path.join(spill_dir, name), "rb") as handle:
+            files[name] = handle.read()
+    return store.evictions, store.rehydrations, list(store._hot), files
 
 
 def _assert_mutable_states_equal(a, b):
@@ -277,7 +300,7 @@ class TestStateStoreBitIdentity:
             reference[cid] = state.clone()
             store.put(cid, state)
         assert store.evictions >= 2  # capacity 1 spilled the earlier clients
-        assert len(store.spill_manifest()) >= 2
+        assert len(os.listdir(tmp_path)) >= 2
         for cid in range(3):
             _assert_mutable_states_equal(reference[cid], store.pop(cid))
         assert store.rehydrations >= 2
@@ -294,7 +317,7 @@ class TestStateStoreBitIdentity:
             clients_per_round=3, sampling_seed=5,
         ) as sim:
             sim.run(rounds)
-        snapshot = registry.store.snapshot_all()
+        snapshot = _unpickled(registry.store)
         digest = _digest(server.global_state())
         registry.close()
         return digest, snapshot
@@ -353,6 +376,35 @@ class TestStateStoreBitIdentity:
         model_bytes = sum(v.nbytes for v in client.model.state_dict().values())
         assert nbytes >= 2 * model_bytes  # weights + momentum at least
 
+    def test_lru_resident_bytes_track_hot_tier(self, tiny_vector_dataset, tmp_path):
+        factory = _client_factory(_shard_map(tiny_vector_dataset, range(3)))
+        store = LRUStateStore(capacity=2, spill_dir=str(tmp_path))
+        states = {}
+        for cid in range(3):
+            client = factory(cid)
+            client.local_update()
+            states[cid] = client.get_mutable_state()
+            store.put(cid, states[cid])
+        hot = [1, 2]  # client 0 was evicted
+        assert store.resident_bytes() == sum(mutable_state_nbytes(states[c]) for c in hot)
+        store.pop(1)
+        assert store.resident_bytes() == mutable_state_nbytes(states[2])
+        store.clear()
+        assert store.resident_bytes() == 0
+
+    def test_membership_test_has_no_side_effects(self, tiny_vector_dataset, tmp_path):
+        factory = _client_factory(_shard_map(tiny_vector_dataset, range(3)))
+        store = LRUStateStore(capacity=1, spill_dir=str(tmp_path))
+        for cid in range(3):
+            client = factory(cid)
+            client.local_update()
+            store.put(cid, client.get_mutable_state())
+        before = _store_fingerprint(store)
+        assert all(cid in store for cid in range(3))  # two of them spilled
+        assert 3 not in store
+        assert _store_fingerprint(store) == before
+        store.close()
+
 
 class TestVirtualCheckpoint:
     def _build(self, dataset, directory, store=None):
@@ -379,11 +431,92 @@ class TestVirtualCheckpoint:
         lru = LRUStateStore(capacity=1, spill_dir=str(tmp_path / "spill"))
         with self._build(tiny_vector_dataset, resumed_dir, store=lru) as sim:
             sim.run(2)
-        assert lru.spill_manifest()  # the checkpoint had spilled clients
+        assert lru.resident_count() < len(lru.client_ids())  # some were spilled
         fresh_lru = LRUStateStore(capacity=1, spill_dir=str(tmp_path / "spill2"))
         with self._build(tiny_vector_dataset, resumed_dir, store=fresh_lru) as sim:
             sim.resume(4)
         assert _digest(sim.server.global_state()) == expected
+
+    def test_save_checkpoint_leaves_store_untouched(self, tiny_vector_dataset, tmp_path):
+        lru = LRUStateStore(capacity=1, spill_dir=str(tmp_path / "spill"))
+        with self._build(tiny_vector_dataset, tmp_path / "ckpt", store=lru) as sim:
+            sim.run(2)
+            assert len(os.listdir(lru.spill_dir)) >= 2
+            before = _store_fingerprint(lru)
+            path = save_checkpoint(sim, str(tmp_path / "extra"))
+            assert _store_fingerprint(lru) == before
+        # Spilled states are copied as the bytes of their spill files.
+        payload = load_checkpoint(path)
+        _, _, hot, files = before
+        for cid, blob in payload["clients"].items():
+            if cid not in hot:
+                assert blob == files[f"state_{cid}.pkl"]
+        assert "spill_manifest" not in payload["registry"]
+
+    def _build_cip_topk(self, dataset, directory, store):
+        shards = _shard_map(dataset, range(6))
+        cip = CIPConfig(alpha=0.5, clip_range=None)
+
+        def factory(cid):
+            return CIPClient(
+                cid, shards[cid], _dual_factory, cip_config=cip,
+                config=ClientConfig(lr=0.05), seed=derive_rng(7, "virt-cip", cid),
+            )
+
+        registry = ClientRegistry(factory, population=6, store=store, spec={"suite": "cip"})
+        return FederatedSimulation(
+            FLServer(_dual_factory), registry=registry,
+            executor=make_executor(backend="sequential", codec="topk"),
+            clients_per_round=3, sampling_seed=3,
+            checkpoint=CheckpointConfig(directory=str(directory), every=1, keep=0),
+        )
+
+    @pytest.mark.parametrize("source,target", [("lru", "lru"), ("lru", "memory"), ("memory", "lru")])
+    def test_resume_across_stores_is_bit_identical(
+        self, tiny_vector_dataset, tmp_path, source, target
+    ):
+        def store(kind, name):
+            if kind == "memory":
+                return InMemoryStateStore()
+            return LRUStateStore(capacity=1, spill_dir=str(tmp_path / name))
+
+        with self._build_cip_topk(tiny_vector_dataset, tmp_path / "a", InMemoryStateStore()) as sim:
+            sim.run(4)
+        expected_digest = _digest(sim.server.global_state())
+        expected_states = _unpickled(sim.registry.store)
+
+        first = store(source, "spill-source")
+        with self._build_cip_topk(tiny_vector_dataset, tmp_path / "b", first) as sim:
+            sim.run(2)
+        if source == "lru":
+            assert first.resident_count() < len(first.client_ids())  # some were spilled
+        with self._build_cip_topk(
+            tiny_vector_dataset, tmp_path / "b", store(target, "spill-target")
+        ) as sim:
+            sim.resume(4)
+        assert _digest(sim.server.global_state()) == expected_digest
+        resumed_states = _unpickled(sim.registry.store)
+        assert resumed_states.keys() == expected_states.keys()
+        for cid, state in expected_states.items():
+            assert "perturbation_t" in state.extra
+            assert state.wire_residual is not None
+            _assert_mutable_states_equal(state, resumed_states[cid])
+
+    def test_version_one_checkpoint_refused(self, tiny_vector_dataset, tmp_path):
+        with self._build(tiny_vector_dataset, tmp_path) as sim:
+            sim.run(1)
+        (path,) = [str(p) for p in tmp_path.glob("*.ckpt")]
+        payload = load_checkpoint(path)
+        payload["version"] = 1
+        body = pickle.dumps(payload)
+        with open(path, "wb") as handle:
+            handle.write(CHECKPOINT_MAGIC + hashlib.sha256(body).digest() + body)
+        with pytest.raises(ValueError, match="version 1"):
+            load_checkpoint(path)
+        with self._build(tiny_vector_dataset, tmp_path) as fresh, pytest.raises(
+            ValueError, match="version 1"
+        ):
+            restore_latest_good(fresh, str(tmp_path))
 
     def test_live_and_virtual_checkpoints_refuse_to_cross(self, tiny_vector_dataset, tmp_path):
         virtual_dir = tmp_path / "virtual"
