@@ -68,18 +68,27 @@ class Perturbation:
     def step(self, model: Module, inputs: np.ndarray, labels: np.ndarray) -> float:
         """One Step-I update of ``t`` on a mini-batch; returns the objective.
 
-        The model is put in eval mode and its parameter gradients are wiped
-        afterwards: Step I must only move ``t``.
+        Step I must only move ``t``: the model is put in eval mode and its
+        parameters stop requiring gradients for the forward and backward,
+        so no parameter gradient is computed; each parameter's previous
+        flag is restored afterwards, also when the pass raises.
         """
         model.eval()  # freeze BatchNorm statistics while shaping t
-        self._optimizer.zero_grad()
-        blended = self.blend_batch(inputs)
-        logits = model(blended)
-        objective = cross_entropy(logits, labels) + self.config.lambda_t * l1_norm(self.t)
-        objective.backward()
+        params = list(model.parameters())
+        flags = [param.requires_grad for param in params]
+        try:
+            for param in params:
+                param.requires_grad = False
+            self._optimizer.zero_grad()
+            blended = self.blend_batch(inputs)
+            logits = model(blended)
+            objective = cross_entropy(logits, labels) + self.config.lambda_t * l1_norm(self.t)
+            objective.backward()
+        finally:
+            for param, flag in zip(params, flags):
+                param.requires_grad = flag
+            model.train()
         self._optimizer.step()
-        model.zero_grad()  # discard parameter grads produced by this pass
-        model.train()
         return objective.item()
 
     def optimize(

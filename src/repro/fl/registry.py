@@ -119,8 +119,9 @@ class StateStore(ABC):
 
     @abstractmethod
     def peek(self, client_id: int) -> Optional[ClientMutableState]:
-        """Return a client's snapshot without removing it (``None`` when
-        cold).  Callers must clone before mutating."""
+        """Return a client's snapshot without removing it or otherwise
+        changing the store (``None`` when cold).  Callers must clone
+        before mutating."""
 
     @abstractmethod
     def client_ids(self) -> List[int]:
@@ -281,16 +282,15 @@ class LRUStateStore(StateStore):
         return None
 
     def peek(self, client_id: int) -> Optional[ClientMutableState]:
+        # A read leaves the store as it was: no LRU reorder, and a spilled
+        # state is unpickled from its file without rehydrating it (so no
+        # tier change, eviction or counter change).
         client_id = int(client_id)
         if client_id in self._hot:
-            self._hot.move_to_end(client_id)
             return self._hot[client_id]
         if client_id in self._spilled:
-            # Rehydrate into the hot tier (possibly evicting another state);
-            # the spill file is superseded by the in-memory copy.
-            state = self._take_spilled(client_id)
-            self._admit(client_id, state)
-            return state
+            with open(self._spilled[client_id], "rb") as handle:
+                return pickle.load(handle)
         return None
 
     def __contains__(self, client_id: int) -> bool:

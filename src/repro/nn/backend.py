@@ -12,11 +12,12 @@ definitions (in the spirit of HIPS ``autograd``'s thin NumPy wrapper and
   sequence the pre-backend code did — it is **bitwise identical** to the
   historical behaviour, which the pinned-digest test in
   ``tests/fl/test_backend_identity.py`` asserts end-to-end.
-* :class:`AcceleratedBackend` keeps per-shape im2col/col2im/GEMM
+* :class:`AcceleratedBackend` unfolds convolutions channels-last (NHWC
+  canvases, (KH, KW, C) columns), keeps its canvas/column/GEMM
   workspaces alive across steps (steady-state training performs the big
   conv allocations once, then recycles them) and runs conv2d as a single
   preallocated GEMM.  Combined with the float32 policy this is the fast
-  path measured in ``BENCH_round_throughput.json``.
+  path measured by ``perfbench`` (``cip_silo``).
 
 Orthogonally, a :class:`DtypePolicy` decides what dtype differentiable
 data lives in.  The default ``"float64"`` policy reproduces the historical
@@ -112,6 +113,29 @@ def _scatter_cols(
         for kw in range(kernel):
             w_end = kw + stride * out_w
             padded[:, :, kh:h_end:stride, kw:w_end:stride] += cols6[:, :, :, :, kh, kw]
+
+
+def _one_group(array: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """Add the leading group axis of the grouped conv kernels."""
+    return None if array is None else array[None]
+
+
+def _only_group(array: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """Drop the leading axis of a one-group conv gradient."""
+    return None if array is None else array[0]
+
+
+def _permute_kernel(w_mat3: np.ndarray, kernel: int, channels_last: bool) -> np.ndarray:
+    """Reorder ``(G, O, K)`` weight rows between (C, KH, KW) and (KH, KW, C)."""
+    groups, out_channels, size = w_mat3.shape
+    channels = size // (kernel * kernel)
+    if channels_last:
+        split, order = (channels, kernel, kernel), (0, 1, 3, 4, 2)
+    else:
+        split, order = (kernel, kernel, channels), (0, 1, 4, 2, 3)
+    return np.ascontiguousarray(
+        w_mat3.reshape((groups, out_channels) + split).transpose(order)
+    ).reshape(groups, out_channels, size)
 
 
 # ----------------------------------------------------------------------
@@ -585,24 +609,35 @@ class NumpyBackend(ArrayBackend):
 
 
 class AcceleratedBackend(ArrayBackend):
-    """NumPy backend with cross-step workspace reuse and preallocated GEMMs.
+    """NumPy backend with channels-last conv kernels and recycled workspaces.
 
-    Convolution scratch arrays (im2col column matrices, GEMM outputs,
-    gradient columns, padded col2im canvases) are drawn from a per-shape
-    free-list and returned once their contents have been consumed, so
-    steady-state training performs each large allocation once and then
-    recycles it; :meth:`clear_workspaces` releases everything.  The GEMMs
-    write into the pooled buffers via ``np.matmul(..., out=...)``.
+    Convolutions unfold through a channels-last (NHWC) layout: the input is
+    written once into a padded NHWC canvas and the columns are copied out
+    of a window view in (KH, KW, C) order, so every copy moves runs of
+    KW*C contiguous floats.  One GEMM against the weights permuted to
+    (O, KH, KW, C) gives the output; the backward reuses the columns for
+    the weight gradient and adds the input-gradient columns into a zeroed
+    NHWC canvas in C-contiguous chunks.  A single conv is the one-group
+    case of the grouped kernels, so a client's conv has the same bits
+    whether it runs alone or stacked with other clients.
+
+    Scratch arrays (canvases, column matrices, GEMM outputs, gradient
+    columns) are drawn from a per-shape free-list and returned once their
+    contents have been consumed, so steady-state training performs each
+    large allocation once and then recycles it; :meth:`clear_workspaces`
+    releases everything.  The GEMMs write into the pooled buffers via
+    ``np.matmul(..., out=...)``.
 
     Constraint: a conv graph built under this backend supports a *single*
-    backward pass (its column cache is recycled inside the backward) —
-    which is how every training loop in this codebase uses autograd.  The
-    stateless :class:`NumpyBackend` has no such constraint.
+    backward pass (its cache — the columns plus the permuted weights — is
+    recycled inside the backward), which is how every training loop in
+    this codebase uses autograd.  The stateless :class:`NumpyBackend` has
+    no such constraint.
 
-    Numerically this backend performs the same float operations in the
-    same order as :class:`NumpyBackend`; the measured speedup comes from
-    the float32 dtype policy (wider SIMD, half the memory traffic) plus
-    the recycled workspaces.
+    Numerically this backend matches :class:`NumpyBackend` to rounding,
+    not bitwise: the forward GEMM sums over KH*KW*C in a different order.
+    The measured speedup comes from the float32 dtype policy, the
+    channels-last copies and the recycled workspaces.
     """
 
     name = "accelerated"
@@ -650,147 +685,77 @@ class AcceleratedBackend(ArrayBackend):
         )
         return WorkspaceStats(self._hits, self._misses, count, total)
 
-    # -- accelerated conv machinery ------------------------------------
-    def im2col(
-        self, images: np.ndarray, kernel: int, stride: int, padding: int
+    # -- channels-last conv machinery ----------------------------------
+    def _canvas(
+        self, image_shape: Tuple[int, int, int, int], padding: int, dtype
+    ) -> np.ndarray:
+        """A pooled padded NHWC canvas for NCHW ``image_shape``."""
+        batch, channels, height, width = image_shape
+        return self._acquire(
+            (batch, height + 2 * padding, width + 2 * padding, channels), dtype
+        )
+
+    def _columns(
+        self, x: np.ndarray, groups: int, kernel: int, stride: int, padding: int
     ) -> Tuple[np.ndarray, Tuple[int, int]]:
-        batch, channels, height, width = images.shape
+        """Unfold a client-major ``(G*N, C, H, W)`` batch into
+        ``(G, N*OH*OW, KH*KW*C)`` columns."""
+        batch, channels, height, width = x.shape
         out_h = conv_output_size(height, kernel, stride, padding)
         out_w = conv_output_size(width, kernel, stride, padding)
-        scratch = None
+        canvas = self._canvas(x.shape, padding, x.dtype)
         if padding > 0:
-            scratch = self._acquire(
-                (batch, channels, height + 2 * padding, width + 2 * padding),
-                images.dtype,
-            )
-            scratch.fill(0.0)
-            scratch[:, :, padding:-padding, padding:-padding] = images
-            images = scratch
-        view = _window_view(images, kernel, stride, out_h, out_w)
+            canvas.fill(0.0)
+        canvas[:, padding : padding + height, padding : padding + width] = x.transpose(
+            0, 2, 3, 1
+        )
         cols = self._acquire(
-            (batch * out_h * out_w, channels * kernel * kernel), images.dtype
+            (groups, batch // groups * out_h * out_w, kernel * kernel * channels),
+            x.dtype,
         )
+        windows = _window_view(canvas.transpose(0, 3, 1, 2), kernel, stride, out_h, out_w)
         np.copyto(
-            cols.reshape(batch, out_h, out_w, channels, kernel, kernel),
-            view.transpose(0, 2, 3, 1, 4, 5),
+            cols.reshape(batch, out_h, out_w, kernel, kernel, channels),
+            windows.transpose(0, 2, 3, 4, 5, 1),
         )
-        self._release(scratch)
+        self._release(canvas)
         return cols, (out_h, out_w)
 
-    def col2im(
+    def _fold_columns(
         self,
         cols: np.ndarray,
-        image_shape: Tuple[int, int, int, int],
-        kernel: int,
-        stride: int,
-        padding: int,
-    ) -> np.ndarray:
-        if padding == 0:
-            return super().col2im(cols, image_shape, kernel, stride, padding)
-        batch, channels, height, width = image_shape
-        out_h = conv_output_size(height, kernel, stride, padding)
-        out_w = conv_output_size(width, kernel, stride, padding)
-        padded = self._acquire(
-            (batch, channels, height + 2 * padding, width + 2 * padding), cols.dtype
-        )
-        padded.fill(0.0)
-        _scatter_cols(padded, cols, kernel, stride, out_h, out_w)
-        out = np.ascontiguousarray(
-            padded[:, :, padding:-padding, padding:-padding]
-        )
-        self._release(padded)
-        return out
-
-    def conv2d_forward(
-        self,
-        x: np.ndarray,
-        w_mat: np.ndarray,
-        bias: Optional[np.ndarray],
-        kernel: int,
-        stride: int,
-        padding: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        batch = x.shape[0]
-        out_channels = w_mat.shape[0]
-        cols, (out_h, out_w) = self.im2col(x, kernel, stride, padding)
-        out_mat = self._acquire(
-            (cols.shape[0], out_channels), np.result_type(cols, w_mat)
-        )
-        np.matmul(cols, w_mat.T, out=out_mat)
-        if bias is not None:
-            out_mat += bias
-        # Materialize a fresh contiguous NCHW output so the GEMM buffer can
-        # be recycled immediately (and downstream ops see dense memory).
-        out = np.ascontiguousarray(
-            out_mat.reshape(batch, out_h, out_w, out_channels).transpose(0, 3, 1, 2)
-        )
-        self._release(out_mat)
-        return out, cols
-
-    def conv2d_backward(
-        self,
-        grad: np.ndarray,
-        cols: np.ndarray,
-        w_mat: np.ndarray,
         x_shape: Tuple[int, int, int, int],
         kernel: int,
         stride: int,
         padding: int,
-        need_x: bool,
-        need_weight: bool,
-        need_bias: bool,
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
-        batch, out_channels, out_h, out_w = grad.shape
-        grad_mat = self._acquire((batch * out_h * out_w, out_channels), grad.dtype)
-        np.copyto(
-            grad_mat.reshape(batch, out_h, out_w, out_channels),
-            grad.transpose(0, 2, 3, 1),
-        )
-        grad_w = self.matmul(grad_mat.T, cols) if need_weight else None
-        grad_b = grad_mat.sum(axis=0) if need_bias else None
-        grad_x = None
-        if need_x:
-            grad_cols = self._acquire(
-                cols.shape, np.result_type(grad_mat, w_mat)
-            )
-            np.matmul(grad_mat, w_mat, out=grad_cols)
-            grad_x = self.col2im(grad_cols, x_shape, kernel, stride, padding)
-            self._release(grad_cols)
-        # The column cache is consumed exactly once per forward (see the
-        # class docstring), so it can re-enter the pool here.
-        self._release(grad_mat, cols)
-        return grad_x, grad_w, grad_b
+    ) -> np.ndarray:
+        """Adjoint of :meth:`_columns` for ``(G, KH*KW, N*OH*OW, C)`` columns.
 
-    # -- accelerated grouped (client-batched) machinery ----------------
-    def grouped_im2col(
-        self, images: np.ndarray, groups: int, kernel: int, stride: int, padding: int
-    ) -> Tuple[np.ndarray, Tuple[int, int]]:
-        # Acquire the grouped 3-D shape directly: a reshape of the pooled
-        # 2-D matrix would be a view (base set) and could never be released
-        # back into the pool.
-        batch, channels, height, width = images.shape
+        Each kernel offset's contiguous block is added into a zeroed NHWC
+        canvas in (kh, kw) order; the canvas is then cropped back to NCHW.
+        """
+        batch, channels, height, width = x_shape
+        groups = cols.shape[0]
         out_h = conv_output_size(height, kernel, stride, padding)
         out_w = conv_output_size(width, kernel, stride, padding)
-        scratch = None
-        if padding > 0:
-            scratch = self._acquire(
-                (batch, channels, height + 2 * padding, width + 2 * padding),
-                images.dtype,
+        canvas = self._canvas(x_shape, padding, cols.dtype)
+        canvas.fill(0.0)
+        per_group = canvas.reshape((groups, batch // groups) + canvas.shape[1:])
+        blocks = cols.reshape(
+            groups, kernel, kernel, batch // groups, out_h, out_w, channels
+        )
+        for kh in range(kernel):
+            h_end = kh + stride * out_h
+            for kw in range(kernel):
+                w_end = kw + stride * out_w
+                per_group[:, :, kh:h_end:stride, kw:w_end:stride] += blocks[:, kh, kw]
+        grad_x = np.ascontiguousarray(
+            canvas[:, padding : padding + height, padding : padding + width].transpose(
+                0, 3, 1, 2
             )
-            scratch.fill(0.0)
-            scratch[:, :, padding:-padding, padding:-padding] = images
-            images = scratch
-        view = _window_view(images, kernel, stride, out_h, out_w)
-        per = batch // groups
-        cols3 = self._acquire(
-            (groups, per * out_h * out_w, channels * kernel * kernel), images.dtype
         )
-        np.copyto(
-            cols3.reshape(batch, out_h, out_w, channels, kernel, kernel),
-            view.transpose(0, 2, 3, 1, 4, 5),
-        )
-        self._release(scratch)
-        return cols3, (out_h, out_w)
+        self._release(canvas)
+        return grad_x
 
     def grouped_conv2d_forward(
         self,
@@ -801,29 +766,32 @@ class AcceleratedBackend(ArrayBackend):
         stride: int,
         padding: int,
         relu: bool = False,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
         batch = x.shape[0]
         groups, out_channels = w_mat3.shape[0], w_mat3.shape[1]
-        cols3, (out_h, out_w) = self.grouped_im2col(x, groups, kernel, stride, padding)
+        cols3, (out_h, out_w) = self._columns(x, groups, kernel, stride, padding)
+        w_perm3 = _permute_kernel(w_mat3, kernel, channels_last=True)
         out_mat = self._acquire(
-            (groups, cols3.shape[1], out_channels), np.result_type(cols3, w_mat3)
+            (groups, cols3.shape[1], out_channels), np.result_type(cols3, w_perm3)
         )
-        np.matmul(cols3, np.swapaxes(w_mat3, -1, -2), out=out_mat)
+        np.matmul(cols3, np.swapaxes(w_perm3, -1, -2), out=out_mat)
         if bias2 is not None:
             out_mat += bias2[:, None, :]
+        # Materialize a fresh contiguous NCHW output so the GEMM buffer can
+        # be recycled immediately (and downstream ops see dense memory).
         out = np.ascontiguousarray(
             out_mat.reshape(batch, out_h, out_w, out_channels).transpose(0, 3, 1, 2)
         )
         self._release(out_mat)
         if relu:
             np.multiply(out, out > 0, out=out)
-        return out, cols3
+        return out, (cols3, w_perm3)
 
     def grouped_conv2d_backward(
         self,
         grad: np.ndarray,
         out: Optional[np.ndarray],
-        cols3: np.ndarray,
+        cache: Tuple[np.ndarray, np.ndarray],
         w_mat3: np.ndarray,
         x_shape: Tuple[int, int, int, int],
         kernel: int,
@@ -834,76 +802,81 @@ class AcceleratedBackend(ArrayBackend):
         need_bias: bool,
         relu: bool = False,
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
-        groups = w_mat3.shape[0]
+        cols3, w_perm3 = cache
+        groups, rows, size = cols3.shape
         batch, out_channels, out_h, out_w = grad.shape
-        per = batch // groups
-        masked = None
+
+        def channel_major(array: np.ndarray) -> np.ndarray:
+            """(G, O, N, OH*OW) view of a client-major NCHW array."""
+            return array.reshape(
+                groups, batch // groups, out_channels, out_h * out_w
+            ).transpose(0, 2, 1, 3)
+
+        # The upstream gradient as (G, O, N*OH*OW), masked by a fused relu.
+        # Scratch is drawn in the forward's buffer shapes (GEMM output,
+        # columns) and viewed in the layouts needed here, so the backward
+        # adds no pool buckets of its own.
+        grad_buffer = self._acquire((groups, rows, out_channels), grad.dtype)
+        grad_mat3 = grad_buffer.reshape(groups, out_channels, rows)
+        target = grad_mat3.reshape(groups, out_channels, -1, out_h * out_w)
         if relu:
-            masked = self._acquire(grad.shape, grad.dtype)
-            np.multiply(grad, out > 0, out=masked)
-            grad = masked
-        grad_mat3 = self._acquire(
-            (groups, per * out_h * out_w, out_channels), grad.dtype
-        )
-        np.copyto(
-            grad_mat3.reshape(batch, out_h, out_w, out_channels),
-            grad.transpose(0, 2, 3, 1),
-        )
-        self._release(masked)
-        grad_w = (
-            self.batched_matmul(np.swapaxes(grad_mat3, -1, -2), cols3)
-            if need_weight
-            else None
-        )
-        grad_b = grad_mat3.sum(axis=1) if need_bias else None
+            np.multiply(channel_major(grad), channel_major(out) > 0, out=target)
+        else:
+            np.copyto(target, channel_major(grad))
+        grad_w = None
+        if need_weight:
+            grad_w = _permute_kernel(
+                self.batched_matmul(grad_mat3, cols3), kernel, channels_last=False
+            )
+        grad_b = grad_mat3.sum(axis=2) if need_bias else None
         grad_x = None
         if need_x:
-            grad_cols = self._acquire(cols3.shape, np.result_type(grad_mat3, w_mat3))
-            np.matmul(grad_mat3, w_mat3, out=grad_cols)
-            grad_x = self.grouped_col2im(grad_cols, x_shape, kernel, stride, padding)
-            self._release(grad_cols)
-        self._release(grad_mat3, cols3)
+            # One (N*OH*OW, O) @ (O, C) GEMM per kernel offset, so that each
+            # offset's block of input-gradient columns is contiguous.
+            channels = size // (kernel * kernel)
+            w_blocks = w_perm3.reshape(groups, out_channels, -1, channels).swapaxes(1, 2)
+            cols_buffer = self._acquire(cols3.shape, np.result_type(grad_mat3, w_perm3))
+            grad_cols = cols_buffer.reshape(groups, kernel * kernel, rows, channels)
+            np.matmul(np.swapaxes(grad_mat3, -1, -2)[:, None], w_blocks, out=grad_cols)
+            grad_x = self._fold_columns(grad_cols, x_shape, kernel, stride, padding)
+            self._release(cols_buffer)
+        # The cache is consumed exactly once per forward (see the class
+        # docstring), so its columns can re-enter the pool here.
+        self._release(grad_buffer, cols3)
         return grad_x, grad_w, grad_b
 
-    # -- accelerated fused primitives ----------------------------------
-    def conv2d_relu_forward(
-        self,
-        x: np.ndarray,
-        w_mat: np.ndarray,
-        bias: Optional[np.ndarray],
-        kernel: int,
-        stride: int,
-        padding: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        out, cols = self.conv2d_forward(x, w_mat, bias, kernel, stride, padding)
-        # conv2d_forward materialized a fresh contiguous output, so the
-        # activation can be applied in place (same multiply, same bits).
-        np.multiply(out, out > 0, out=out)
-        return out, cols
+    # -- single convs: the one-group case of the grouped kernels -------
+    def conv2d_forward(self, x, w_mat, bias, kernel, stride, padding):
+        return self.grouped_conv2d_forward(
+            x, w_mat[None], _one_group(bias), kernel, stride, padding
+        )
 
-    def conv2d_relu_backward(
-        self,
-        grad: np.ndarray,
-        out: np.ndarray,
-        cols: np.ndarray,
-        w_mat: np.ndarray,
-        x_shape: Tuple[int, int, int, int],
-        kernel: int,
-        stride: int,
-        padding: int,
-        need_x: bool,
-        need_weight: bool,
-        need_bias: bool,
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
-        masked = self._acquire(grad.shape, grad.dtype)
-        np.multiply(grad, out > 0, out=masked)
-        result = self.conv2d_backward(
-            masked, cols, w_mat, x_shape, kernel, stride, padding,
+    def conv2d_relu_forward(self, x, w_mat, bias, kernel, stride, padding):
+        return self.grouped_conv2d_forward(
+            x, w_mat[None], _one_group(bias), kernel, stride, padding, relu=True
+        )
+
+    def conv2d_backward(
+        self, grad, cache, w_mat, x_shape, kernel, stride, padding,
+        need_x, need_weight, need_bias,
+    ):
+        grad_x, grad_w, grad_b = self.grouped_conv2d_backward(
+            grad, None, cache, w_mat[None], x_shape, kernel, stride, padding,
             need_x, need_weight, need_bias,
         )
-        self._release(masked)
-        return result
+        return grad_x, _only_group(grad_w), _only_group(grad_b)
 
+    def conv2d_relu_backward(
+        self, grad, out, cache, w_mat, x_shape, kernel, stride, padding,
+        need_x, need_weight, need_bias,
+    ):
+        grad_x, grad_w, grad_b = self.grouped_conv2d_backward(
+            grad, out, cache, w_mat[None], x_shape, kernel, stride, padding,
+            need_x, need_weight, need_bias, relu=True,
+        )
+        return grad_x, _only_group(grad_w), _only_group(grad_b)
+
+    # -- accelerated fused primitives ----------------------------------
     def linear_relu_forward(
         self, x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray]
     ) -> np.ndarray:

@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.config import CIPConfig
 from repro.core.perturbation import Perturbation, optimize_perturbation_for_model
+from repro.nn.backend import use_backend
+from repro.nn.losses import cross_entropy, l1_norm
 from repro.nn.models import build_model
 from repro.nn.serialization import state_dicts_allclose
 
@@ -106,6 +108,82 @@ class TestPerturbation:
         for _ in range(10):
             p.step(model, flat_images.inputs[:8], flat_images.labels[:8])
         assert np.abs(p.value).sum() < before
+
+
+def _step_with_parameter_grads(perturbation, model, inputs, labels):
+    """Step I as it ran before the parameters were frozen for it."""
+    model.eval()
+    perturbation.t.zero_grad()
+    logits = model(perturbation.blend_batch(inputs))
+    objective = cross_entropy(logits, labels) + perturbation.config.lambda_t * l1_norm(
+        perturbation.t
+    )
+    objective.backward()
+    perturbation._optimizer.step()
+    model.train()
+    return objective.item()
+
+
+class TestStepComputesNoParameterGradients:
+    """Step I freezes the parameters for its pass and restores their flags."""
+
+    @pytest.mark.parametrize(
+        "backend,dtype", [("numpy", "float64"), ("accelerated", "float32")]
+    )
+    def test_t_is_bitwise_equal_to_a_run_with_parameter_grads(
+        self, tiny_image_dataset, backend, dtype
+    ):
+        inputs, labels = tiny_image_dataset.inputs[:12], tiny_image_dataset.labels[:12]
+        config = CIPConfig(alpha=0.5, perturbation_lr=0.1)
+        with use_backend(backend, dtype):
+            frozen_model = build_model(
+                "resnet", 4, dual_channel=True, in_channels=1, seed=0
+            )
+            graded_model = build_model(
+                "resnet", 4, dual_channel=True, in_channels=1, seed=0
+            )
+            frozen = Perturbation((1, 8, 8), config, seed=3)
+            graded = Perturbation((1, 8, 8), config, seed=3)
+            for _ in range(3):
+                objective = frozen.step(frozen_model, inputs, labels)
+                reference = _step_with_parameter_grads(
+                    graded, graded_model, inputs, labels
+                )
+                assert objective == reference
+                np.testing.assert_array_equal(frozen.value, graded.value)
+        assert all(param.grad is not None for param in graded_model.parameters())
+        assert all(param.grad is None for param in frozen_model.parameters())
+
+    def test_requires_grad_flags_are_restored(self, flat_images):
+        model = dual_factory()
+        params = list(model.parameters())
+        params[0].requires_grad = False  # a caller's own frozen layer
+        flags = [param.requires_grad for param in params]
+        Perturbation((64,), CIPConfig(alpha=0.5), seed=0).step(
+            model, flat_images.inputs[:8], flat_images.labels[:8]
+        )
+        assert [param.requires_grad for param in params] == flags
+
+    def test_requires_grad_flags_are_restored_when_the_forward_raises(
+        self, flat_images, monkeypatch
+    ):
+        model = dual_factory()
+        params = list(model.parameters())
+        params[-1].requires_grad = False
+        flags = [param.requires_grad for param in params]
+
+        def failing_forward(*args, **kwargs):
+            assert not any(param.requires_grad for param in params)
+            raise RuntimeError("forward failed")
+
+        monkeypatch.setattr(model, "forward", failing_forward)
+        perturbation = Perturbation((64,), CIPConfig(alpha=0.5), seed=0)
+        t_before = perturbation.value
+        with pytest.raises(RuntimeError, match="forward failed"):
+            perturbation.step(model, flat_images.inputs[:8], flat_images.labels[:8])
+        assert [param.requires_grad for param in params] == flags
+        assert model.training
+        np.testing.assert_array_equal(perturbation.value, t_before)
 
 
 class TestOptimizeForFixedModel:

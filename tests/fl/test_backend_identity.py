@@ -104,7 +104,9 @@ class TestPinnedDigest:
         assert _state_dict_digest(state) == PINNED_DIGEST
 
 
-def _run_plain_conv_federation(executor=None, seed=4321):
+def _run_plain_conv_federation(
+    executor=None, seed=4321, stage_channels=(4,), convs_per_stage=1
+):
     """A genuinely batchable federation: plain FLClients, shared config."""
     dataset = generate_image_dataset(_SPEC, samples_per_class=6, seed=seed)
     shards = partition_iid(dataset, 3, seed=derive_rng(seed, "plain-p"))
@@ -112,7 +114,7 @@ def _run_plain_conv_federation(executor=None, seed=4321):
     def factory():
         return build_model(
             "vgg", _SPEC.num_classes, in_channels=_SPEC.channels,
-            stage_channels=(4,), convs_per_stage=1,
+            stage_channels=stage_channels, convs_per_stage=convs_per_stage,
             seed=derive_rng(seed, "plain-m"),
         )
 
@@ -133,6 +135,19 @@ def _run_plain_conv_federation(executor=None, seed=4321):
     return server.global_state(), history.train_losses
 
 
+def _assert_batched_matches_sequential(backend, dtype, **model):
+    with use_backend(backend, compute_dtype=dtype):
+        seq_state, seq_losses = _run_plain_conv_federation(
+            SequentialExecutor(), **model
+        )
+        bat_state, bat_losses = _run_plain_conv_federation(BatchedExecutor(), **model)
+    assert seq_losses == bat_losses  # per-round mean train losses
+    assert seq_state.keys() == bat_state.keys()
+    for key in seq_state:
+        assert seq_state[key].dtype == bat_state[key].dtype, key
+        assert np.array_equal(seq_state[key], bat_state[key]), key
+
+
 class TestExecutorEquivalenceUnderBackends:
     @pytest.mark.parametrize("backend", ["numpy", "accelerated"])
     def test_sequential_matches_process_bitwise(self, backend):
@@ -150,16 +165,17 @@ class TestExecutorEquivalenceUnderBackends:
         # Unlike the CIP reference run (which exercises the fallback), this
         # federation actually stacks: identical architectures and
         # hyperparameters across all three clients.
-        with use_backend(backend, compute_dtype=dtype):
-            seq_state, seq_losses = _run_plain_conv_federation(
-                SequentialExecutor()
-            )
-            bat_state, bat_losses = _run_plain_conv_federation(BatchedExecutor())
-        assert seq_losses == bat_losses  # per-round mean train losses
-        assert seq_state.keys() == bat_state.keys()
-        for key in seq_state:
-            assert seq_state[key].dtype == bat_state[key].dtype, key
-            assert np.array_equal(seq_state[key], bat_state[key]), key
+        _assert_batched_matches_sequential(backend, dtype)
+
+    @pytest.mark.parametrize("backend", ["numpy", "accelerated"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_multichannel_sequential_matches_batched_bitwise(self, backend, dtype):
+        # With one input channel the (C, KH, KW) and (KH, KW, C) column
+        # orders coincide, so only convs over several channels catch a
+        # layout split between the per-client and the grouped kernels.
+        _assert_batched_matches_sequential(
+            backend, dtype, stage_channels=(4, 8), convs_per_stage=2
+        )
 
     def test_float32_run_tracks_float64_closely(self):
         with use_backend("numpy", compute_dtype="float64"):

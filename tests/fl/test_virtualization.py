@@ -405,6 +405,30 @@ class TestStateStoreBitIdentity:
         assert _store_fingerprint(store) == before
         store.close()
 
+    def test_materialize_for_read_leaves_lru_store_unchanged(
+        self, tiny_vector_dataset, tmp_path
+    ):
+        store = LRUStateStore(capacity=1, spill_dir=str(tmp_path))
+        registry = ClientRegistry(
+            _client_factory(_shard_map(tiny_vector_dataset, range(3))),
+            population=3, store=store,
+        )
+        for cid in range(3):
+            client = registry.checkout(cid)
+            client.local_update()
+            registry.release(client)
+        stored = _unpickled(store)
+        before = _store_fingerprint(store)
+        assert before[2] == [2]  # clients 0 and 1 are spilled
+        for cid in (0, 2, 1):  # spilled, hot, spilled
+            reader = registry.materialize_for_read(cid)
+            _assert_mutable_states_equal(reader.get_mutable_state(), stored[cid])
+            reader.local_update()  # training the throwaway copy
+            assert _store_fingerprint(store) == before
+        for cid, state in _unpickled(store).items():
+            _assert_mutable_states_equal(state, stored[cid])
+        store.close()
+
 
 class TestVirtualCheckpoint:
     def _build(self, dataset, directory, store=None):

@@ -149,10 +149,10 @@ class TestDtypePolicy:
 # ----------------------------------------------------------------------
 # Accelerated vs numpy equivalence on model-zoo shapes
 # ----------------------------------------------------------------------
-def _run_conv(stride, padding, dtype="float64"):
+def _run_conv(stride, padding, dtype="float64", channels=3, kernel=3):
     rng = np.random.default_rng(5)
-    x_data = rng.normal(size=(4, 3, 8, 8))
-    w_data = rng.normal(size=(8, 3, 3, 3)) * 0.1
+    x_data = rng.normal(size=(4, channels, 8, 8))
+    w_data = rng.normal(size=(8, channels, kernel, kernel)) * 0.1
     b_data = rng.normal(size=(8,)) * 0.1
     with use_backend(active_backend_name(), compute_dtype=dtype):
         x = Tensor(x_data, requires_grad=True)
@@ -186,6 +186,10 @@ def _run_matmul(shapes, dtype="float64"):
 CASES = [
     ("conv-s1-p1", lambda d: _run_conv(1, 1, d)),  # VGG body
     ("conv-s2-p0", lambda d: _run_conv(2, 0, d)),
+    # MiniResNet: 1-channel stem, strided 3x3 and 1x1 shortcut convs.
+    ("conv-stem-1ch", lambda d: _run_conv(1, 1, d, channels=1)),
+    ("conv-k3-s2-p1", lambda d: _run_conv(2, 1, d)),
+    ("conv-k1-s2-p0", lambda d: _run_conv(2, 0, d, kernel=1)),
     ("max-pool", lambda d: _run_pool(F.max_pool2d, d)),
     ("avg-pool", lambda d: _run_pool(F.avg_pool2d, d)),
     ("matmul-2d", lambda d: _run_matmul([(16, 10), (10, 4)], d)),  # Linear
